@@ -106,22 +106,22 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
 
     let before = counters();
     let flow = TestFlow::new(&soc, quick_flow());
-    // Compilation is lazy, so the first width (16) fresh-builds just its
-    // narrow cap, and that width's bound query forces the one full-cap
-    // (64) build. Caps 32 and 48 then prefix-derive from the full build,
-    // 64 reuses it, and widths past w_max share the 64-wide cap.
+    // Compilation is lazy, so the first width (16) builds the one
+    // full-cap (64) menu set and derives its narrow cap from it. Caps 32
+    // and 48 prefix-derive from the same build, 64 reuses it, and widths
+    // past w_max share the 64-wide cap.
     flow.sweep_widths([16u16, 32, 48, 64, 72]).unwrap();
     let after = counters();
 
     assert_eq!(
         after.menus - before.menus,
-        2,
-        "exactly two menu builds: the first narrow cap, then the full cap"
+        1,
+        "exactly one menu build: the full cap"
     );
     assert_eq!(
         after.menu_derives - before.menu_derives,
-        2,
-        "one prefix derivation per later smaller distinct effective cap"
+        3,
+        "one prefix derivation per smaller distinct effective cap"
     );
     assert_eq!(
         after.constraints - before.constraints,
@@ -130,12 +130,12 @@ fn width_sweep_derives_smaller_caps_from_the_full_build() {
     );
     assert_eq!(
         after.rects - before.rects,
-        2 * soc.len() as u64,
-        "rectangle sets are built at the narrow and full caps, then prefixed"
+        soc.len() as u64,
+        "rectangle sets are built once at the full cap, then prefixed"
     );
     assert_eq!(
         after.rect_derives - before.rect_derives,
-        2 * soc.len() as u64
+        3 * soc.len() as u64
     );
 
     // A second sweep over the same flow is fully amortized.

@@ -7,6 +7,12 @@ use std::collections::BinaryHeap;
 use crate::bfd::partition_bfd;
 use crate::{CoreTest, Cycles, TamWidth, WrapperError};
 
+/// The scan test-time formula `(1 + max(si, so)) · p + min(si, so)`; see
+/// [`WrapperDesign::test_time`].
+pub(crate) fn test_time(scan_in: u64, scan_out: u64, patterns: u64) -> Cycles {
+    (1 + scan_in.max(scan_out)) * patterns + scan_in.min(scan_out)
+}
+
 /// A concrete wrapper design for one core at one TAM width.
 ///
 /// A wrapper design arranges the core's internal scan chains, wrapper input
@@ -179,9 +185,7 @@ impl WrapperDesign {
     /// `max` per pattern, one capture cycle per pattern, and a final
     /// residual shift-out of `min(si, so)`.
     pub fn test_time(&self) -> Cycles {
-        let long = self.scan_in.max(self.scan_out);
-        let short = self.scan_in.min(self.scan_out);
-        (1 + long) * self.patterns + short
+        test_time(self.scan_in, self.scan_out, self.patterns)
     }
 
     /// Extra cycles charged when a test of this design is preempted and
@@ -246,6 +250,86 @@ fn place_unit_cells(lengths: &mut [u64], counts: &mut [u64], cells: u32) {
         let new_len = level + u64::from(rank < extras);
         counts[i] += new_len - lengths[i];
         lengths[i] = new_len;
+    }
+}
+
+/// The scan lengths `(scan_in, scan_out)` of [`WrapperDesign::design`] for
+/// one core at many widths, without building a design at any of them: the
+/// per-width kernel behind [`crate::RectangleSet::build`].
+///
+/// With no bidirectional cells the design's lengths have a closed form.
+/// BFD leaves a longest wrapper chain of `L(w)` flops; `place_unit_cells`
+/// then water-fills the input cells onto the chains, so the longest
+/// scan-in path is `L(w)` unless the smallest water level that absorbs
+/// all inputs rises above it, and that level is then `⌈(F + I) / w⌉` (`F`
+/// scan flops, `I` inputs). Scan-out is the same with the outputs. Only
+/// `L(w)` depends on the partition: at `w ≥ #chains` every chain gets a
+/// wrapper chain of its own, and below that a min-heap of loads replays
+/// BFD (which equally loaded chain takes the next scan chain does not
+/// change the loads). Cores with bidirectional cells fall back to the full
+/// design.
+///
+/// The chain lengths are sorted once, and the heap's storage is reused
+/// from width to width.
+pub(crate) struct ScanLengths<'a> {
+    core: &'a CoreTest,
+    /// Scan-chain lengths, longest first.
+    chains: Vec<u64>,
+    /// BFD heap storage, kept across widths.
+    loads: Vec<Reverse<u64>>,
+}
+
+impl<'a> ScanLengths<'a> {
+    pub(crate) fn new(core: &'a CoreTest) -> Self {
+        let mut chains: Vec<u64> = core.scan_chains().iter().map(|&l| u64::from(l)).collect();
+        chains.sort_unstable_by(|a, b| b.cmp(a));
+        Self {
+            core,
+            chains,
+            loads: Vec::new(),
+        }
+    }
+
+    /// `(scan_in, scan_out)` of `WrapperDesign::design(core, width)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0`.
+    pub(crate) fn at(&mut self, width: TamWidth) -> (u64, u64) {
+        assert!(width > 0, "width must be at least one wire");
+        let core = self.core;
+        if core.bidirs() > 0 {
+            let d = WrapperDesign::design(core, width).expect("width >= 1");
+            return (d.scan_in(), d.scan_out());
+        }
+        let longest = self.longest_load(usize::from(width));
+        let level = |cells: u32| (core.scan_flops() + u64::from(cells)).div_ceil(u64::from(width));
+        (
+            longest.max(level(core.inputs())),
+            longest.max(level(core.outputs())),
+        )
+    }
+
+    /// The longest of the `k` wrapper chains BFD builds from the scan
+    /// chains.
+    fn longest_load(&mut self, k: usize) -> u64 {
+        if k >= self.chains.len() {
+            return self.chains.first().copied().unwrap_or(0);
+        }
+        // The `k` longest chains each take an empty wrapper chain; the
+        // rest go one by one onto the lightest.
+        let mut loads = std::mem::take(&mut self.loads);
+        loads.clear();
+        loads.extend(self.chains[..k].iter().map(|&l| Reverse(l)));
+        let mut heap = BinaryHeap::from(loads);
+        let mut longest = self.chains[0];
+        for &len in &self.chains[k..] {
+            let mut lightest = heap.peek_mut().expect("k >= 1");
+            lightest.0 += len;
+            longest = longest.max(lightest.0);
+        }
+        self.loads = heap.into_vec();
+        longest
     }
 }
 
@@ -424,6 +508,51 @@ mod tests {
             let got = WrapperDesign::design_with_placement(&c, width).unwrap();
             let want = design_scan_reference(&c, width);
             prop_assert_eq!(got, want);
+        }
+
+        /// The scan-length kernel reproduces `WrapperDesign::design` at
+        /// every width 1..=64 on cores without bidirectional cells, the
+        /// closed-form path. Chain lengths are `base + (c % spread)`, so
+        /// about half the cases have the near-equal chains of real cores,
+        /// where BFD stacks short chains above the longest one.
+        #[test]
+        fn scan_lengths_match_design_without_bidirs(
+            inputs in 0u32..400,
+            outputs in 0u32..400,
+            chains in proptest::collection::vec(0u32..200, 0..40),
+            base in 1u32..200,
+            spread in 1u32..200,
+            patterns in 1u64..500,
+        ) {
+            prop_assume!(inputs + outputs > 0 || !chains.is_empty());
+            let chains = chains.iter().map(|c| base + c % spread).collect();
+            let c = CoreTest::new(inputs, outputs, 0, chains, patterns).unwrap();
+            let mut kernel = ScanLengths::new(&c);
+            for w in 1..=64 {
+                let d = WrapperDesign::design(&c, w).unwrap();
+                prop_assert_eq!(kernel.at(w), (d.scan_in(), d.scan_out()), "width {}", w);
+            }
+        }
+
+        /// Cores with bidirectional cells take the fallback and still match
+        /// at every width 1..=64.
+        #[test]
+        fn scan_lengths_match_design_with_bidirs(
+            inputs in 0u32..400,
+            outputs in 0u32..400,
+            bidirs in 1u32..120,
+            chains in proptest::collection::vec(0u32..200, 0..40),
+            base in 1u32..200,
+            spread in 1u32..200,
+            patterns in 1u64..500,
+        ) {
+            let chains = chains.iter().map(|c| base + c % spread).collect();
+            let c = CoreTest::new(inputs, outputs, bidirs, chains, patterns).unwrap();
+            let mut kernel = ScanLengths::new(&c);
+            for w in 1..=64 {
+                let d = WrapperDesign::design(&c, w).unwrap();
+                prop_assert_eq!(kernel.at(w), (d.scan_in(), d.scan_out()), "width {}", w);
+            }
         }
 
         /// Monotonicity: test time is non-increasing in TAM width.

@@ -7,8 +7,9 @@
 //! more wires never costs time, plus the Pareto-optimal subset that the
 //! scheduler actually considers.
 
+use crate::design::{test_time, ScanLengths};
 use crate::pareto::pareto_points;
-use crate::{CoreTest, Cycles, ParetoPoint, StaircasePoint, TamWidth, WrapperDesign};
+use crate::{CoreTest, Cycles, ParetoPoint, StaircasePoint, TamWidth};
 
 /// One candidate rectangle for a core: a TAM width together with the
 /// testing time and wrapper scan lengths it implies.
@@ -48,10 +49,11 @@ impl Rectangle {
 
 /// The full rectangle menu for one core, for widths `1..=w_max`.
 ///
-/// Construction runs `Design_wrapper` at every width and monotonizes the
-/// resulting staircase: `time_at(w)` is the best time achievable with *at
-/// most* `w` wires, and `rect_at(w).effective_width` records how many wires
-/// that best design actually needs.
+/// Construction takes the scan lengths `Design_wrapper` would produce at
+/// every width (from a per-width kernel that builds no design) and
+/// monotonizes the resulting staircase: `time_at(w)` is the best time
+/// achievable with *at most* `w` wires, and `rect_at(w).effective_width`
+/// records how many wires that best design actually needs.
 ///
 /// # Example
 ///
@@ -93,20 +95,20 @@ impl RectangleSet {
         let useful = core.max_useful_width().min(u64::from(w_max)) as TamWidth;
 
         let mut rects: Vec<Rectangle> = Vec::with_capacity(usize::from(w_max));
+        let mut lengths = ScanLengths::new(core);
         let mut best_time = Cycles::MAX;
         let mut best: Option<Rectangle> = None;
         for w in 1..=useful {
-            // Design_wrapper never fails for w >= 1 on a valid core.
-            let d = WrapperDesign::design(core, w).expect("width >= 1");
-            let t = d.test_time();
+            let (scan_in, scan_out) = lengths.at(w);
+            let t = test_time(scan_in, scan_out, core.patterns());
             if t < best_time {
                 best_time = t;
                 best = Some(Rectangle {
                     width: w,
                     effective_width: w,
                     time: t,
-                    scan_in: d.scan_in(),
-                    scan_out: d.scan_out(),
+                    scan_in,
+                    scan_out,
                 });
             }
             let mut r = best.expect("set on first iteration");
